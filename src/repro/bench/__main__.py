@@ -12,9 +12,10 @@ Usage::
         [--warn-only]
 
 ``compare``/``gate`` also accept a *directory* as BASE (e.g. the repo
-root): the committed ``BENCH_*.json`` with the best aggregate instrs/s
-becomes the base, so the gate measures against the strongest recorded
-trajectory point.
+root): the committed ``BENCH_*.json`` of NEW's suite with the best
+aggregate instrs/s becomes the base, so the gate measures against the
+strongest recorded trajectory point of the same suite. A gate that finds
+no such artifact, or no benchmark in both artifacts, fails.
     python -m repro.bench fidelity [--tier quick|full] [--json]
         [--markdown]
 
@@ -86,9 +87,13 @@ def _cmd_profile(args) -> int:
 
 
 def _compare(args):
-    base_path = resolve_base(args.base)
-    base = load_report(base_path)
     new = load_report(args.new)
+    base_path = resolve_base(args.base, new.suite)
+    if base_path is None:
+        report = compare_reports(None, new, threshold=args.threshold)
+        return report, (f"no committed {new.suite!r}-suite artifact in "
+                        f"{args.base}")
+    base = load_report(base_path)
     report = compare_reports(base, new, threshold=args.threshold)
     aggregate = (f"aggregate instrs/s: base "
                  f"{aggregate_instrs_per_sec(base):,.0f} "
@@ -172,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     comp = sub.add_parser("compare", help="diff two BENCH artifacts")
     comp.add_argument("base",
                       help="base artifact, or a directory of BENCH_*.json "
-                           "(the best aggregate-throughput point wins)")
+                           "(the best aggregate-throughput point of the "
+                           "new artifact's suite wins)")
     comp.add_argument("new")
     comp.add_argument("--threshold", type=float,
                       default=DEFAULT_THRESHOLD,
@@ -185,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
                                        "regressions or model drift")
     gate.add_argument("base",
                       help="base artifact, or a directory of BENCH_*.json "
-                           "(the best aggregate-throughput point wins)")
+                           "(the best aggregate-throughput point of the "
+                           "new artifact's suite wins)")
     gate.add_argument("new")
     gate.add_argument("--threshold", type=float,
                       default=DEFAULT_THRESHOLD)

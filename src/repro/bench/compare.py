@@ -11,15 +11,16 @@ flags, per benchmark:
   drift means the *model output* moved, which a perf PR must own up to
   explicitly — it fails the gate regardless of the timing threshold.
 
-``gate`` mode exits nonzero on regressions/drift; warn-only mode reports
-but passes, for repos that don't yet have two trustworthy trajectory
-points.
+``gate`` mode exits nonzero on regressions/drift, and also when the two
+artifacts share no benchmark (a gate that compared nothing proves
+nothing); warn-only mode reports but passes.
 
 The base of a comparison may also be a *directory* of committed
 ``BENCH_*.json`` artifacts: :func:`resolve_base` picks the strongest
-trajectory point (highest aggregate instrs/s), so the CI gate always
-measures against the best the repo has ever recorded on comparable
-hardware rather than an arbitrary ancestor.
+trajectory point (highest aggregate instrs/s) *of the new artifact's
+suite*, so the CI gate measures like against like — the best the repo
+has recorded for that suite, not an arbitrary ancestor. With no
+committed artifact of that suite there is no base and the gate fails.
 """
 
 from __future__ import annotations
@@ -41,23 +42,28 @@ def aggregate_instrs_per_sec(report: BenchReport) -> float:
     return instrs / wall if wall > 0 else 0.0
 
 
-def best_artifact(directory: str | pathlib.Path) -> pathlib.Path:
-    """The committed ``BENCH_*.json`` with the highest aggregate
-    instrs/s — the strongest trajectory point to gate against."""
-    directory = pathlib.Path(directory)
-    candidates = sorted(directory.glob("BENCH_*.json"))
+def best_artifact(directory: str | pathlib.Path,
+                  suite: str) -> pathlib.Path | None:
+    """The committed ``BENCH_*.json`` of ``suite`` with the highest
+    aggregate instrs/s — the strongest trajectory point to gate against
+    (None when the directory holds no artifact of that suite)."""
+    paths = sorted(pathlib.Path(directory).glob("BENCH_*.json"))
+    reports = {path: load_report(path) for path in paths}
+    candidates = [path for path, report in reports.items()
+                  if report.suite == suite]
     if not candidates:
-        raise FileNotFoundError(
-            f"no BENCH_*.json artifacts in {directory}")
+        return None
     return max(candidates,
-               key=lambda p: aggregate_instrs_per_sec(load_report(p)))
+               key=lambda p: aggregate_instrs_per_sec(reports[p]))
 
 
-def resolve_base(path: str | pathlib.Path) -> pathlib.Path:
-    """Accept either one artifact or a directory of them (best wins)."""
+def resolve_base(path: str | pathlib.Path,
+                 suite: str) -> pathlib.Path | None:
+    """Accept either one artifact or a directory of them (the best of
+    ``suite`` wins)."""
     path = pathlib.Path(path)
     if path.is_dir():
-        return best_artifact(path)
+        return best_artifact(path, suite)
     return path
 
 
@@ -112,8 +118,10 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        """Gate verdict: no regressions and no model drift."""
-        return not self.regressions and not self.drifted
+        """Gate verdict: at least one benchmark compared, no regressions
+        and no model drift."""
+        return (bool(self.deltas) and not self.regressions
+                and not self.drifted)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -144,6 +152,8 @@ class CompareReport:
             lines.append(f"{name:<30} only in base artifact")
         for name in self.only_in_new:
             lines.append(f"{name:<30} only in new artifact")
+        if not self.deltas:
+            lines.append("no benchmark in both artifacts: nothing compared")
         lines.append(
             f"{len(self.regressions)} regressions, "
             f"{len(self.improvements)} improvements, "
@@ -152,13 +162,14 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def compare_reports(base: BenchReport, new: BenchReport,
+def compare_reports(base: BenchReport | None, new: BenchReport,
                     threshold: float = DEFAULT_THRESHOLD) -> CompareReport:
-    """Diff two BENCH reports by benchmark name."""
+    """Diff two BENCH reports by benchmark name (a missing base shares
+    no benchmark with ``new``)."""
     report = CompareReport(threshold=threshold)
     new_by_name = {r.name: r for r in new.results}
     seen = set()
-    for base_result in base.results:
+    for base_result in base.results if base is not None else ():
         new_result = new_by_name.get(base_result.name)
         if new_result is None:
             report.only_in_base.append(base_result.name)

@@ -16,9 +16,7 @@ exists, ``batched`` forces every batchable point through the kernel, and
 
 from __future__ import annotations
 
-import contextlib
 import os
-from typing import Iterator
 
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 ENGINES = ("auto", "scalar", "batched")
@@ -52,29 +50,6 @@ def resolve_engine(engine: str | None) -> str:
     return engine
 
 
-@contextlib.contextmanager
-def engine_env(engine: str | None) -> Iterator[None]:
-    """Pin the session default engine (``REPRO_ENGINE``) for the scope.
-
-    Code below an orchestration layer resolves its engine from the
-    environment; this lets a caller with an explicit ``engine=`` make
-    that resolution agree with it. No-op when ``engine`` is None or
-    already the default."""
-    engine = resolve_engine(engine)
-    if engine == default_engine():
-        yield
-        return
-    old = os.environ.get(ENGINE_ENV_VAR)
-    os.environ[ENGINE_ENV_VAR] = engine
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        else:
-            os.environ[ENGINE_ENV_VAR] = old
-
-
 def runtime_scalar_reason() -> str | None:
     """Why batching is off for runs started *right now*, regardless of the
     requested engine — or None when batching is allowed.
@@ -99,7 +74,6 @@ __all__ = [
     "ENGINE_ENV_VAR",
     "VECTOR_ENV_VAR",
     "default_engine",
-    "engine_env",
     "resolve_engine",
     "runtime_scalar_reason",
     "vector_enabled",

@@ -6,11 +6,13 @@ points sharing an interned trace and a cache geometry (see
 of three kernels:
 
 * the **list kernel** (this module) — the reference implementation:
-  per-lane free lists, CSQ occupancy, write-buffer slots, WPQ rings, and
-  register ready-times held in parallel Python lists indexed by lane, so
-  the per-instruction work that is lane-invariant (decode, memory-script
-  lookup, branch structure) is paid once per cohort instead of once per
-  run. Serves the out-of-order schemes in :data:`KERNEL_SCHEMES`.
+  per-lane free lists, CSQ occupancy and register ready-times held in
+  parallel Python lists indexed by lane, so the per-instruction work that
+  is lane-invariant (decode, memory-script lookup, branch structure) is
+  paid once per cohort instead of once per run. Serves the out-of-order
+  schemes in :data:`KERNEL_SCHEMES`. Its write buffer, NVM device and
+  memory-script replay are the shared per-lane persist path
+  (:mod:`repro.engine.lanepath`).
 * the **columnar kernel** (:mod:`repro.engine.columns`) — the same
   arithmetic over numpy ``[lane]``/``[lane, reg]`` arrays with a
   uniform-path fast lane, used for wide cohorts when numpy is available
@@ -41,11 +43,13 @@ from __future__ import annotations
 
 import random
 import traceback as _traceback
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
-from repro.engine.memscript import MODE_APP_DIRECT, MODE_CONST, memory_script
+from repro.engine.lanepath import device, replayer, write_buffer
+from repro.engine.memscript import MODE_CONST, memory_script
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
 from repro.isa.instructions import Opcode
 from repro.persistence.capri import (
@@ -57,8 +61,6 @@ from repro.persistence.capri import (
 from repro.pipeline.core import _SYNC_LATENCY, def_value
 from repro.pipeline.stats import CoreStats, RegionRecord, StoreRecord
 from repro.workloads.interning import interned_trace, region_extents
-
-_INF = float("inf")
 
 # Out-of-order schemes the lockstep kernels implement natively. "eadr" and
 # "dram-only" run the baseline policy (NoPersistencePolicy) on a different
@@ -205,15 +207,7 @@ def run_cohort(points, *, diverge_at=None,
         from repro.engine import columns
 
         if p0.scheme in columns.VECTOR_SCHEMES and columns.available():
-            try:
-                return columns.run_cohort_vector(points,
-                                                 diverge_at=diverge_at)
-            except Exception:
-                # An explicitly forced vector run must surface its own
-                # failure; the automatic path degrades to the reference
-                # kernel, whose results are identical by contract.
-                if vector:
-                    raise
+            return columns.run_cohort_vector(points, diverge_at=diverge_at)
     return _run_cohort_lists(points, diverge_at=diverge_at)
 
 
@@ -315,20 +309,28 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
     csq_entries = [p.csq_entries for p in ppas]
     min_def = [p.min_deferred_for_boundary for p in ppas]
     async_wb = [p.async_writeback for p in ppas]
-    coalescing = [p.persist_coalescing for p in ppas]
     region_id = [0] * n
     region_start = [0] * n
     region_stores = [0] * n
     last_store_commit = [0.0] * n
 
+    # Memory-script replay and the persist path (write buffer over the
+    # NVM device), shared with the in-order lane kernel.
+    nvm = device(nvms)
+    replay = replayer(nvm)
+    wb = write_buffer(nvm, [p.writebuffer_entries for p in ppas],
+                      [p.persist_coalescing for p in ppas],
+                      [c.persist_path_latency for c in nvms])
+    advance_floor = wb.advance_floor
+    persist_store = wb.persist_store
+    region_drain_time = wb.region_drain_time
+    reset_region = wb.reset_region
+
     # Capri policy state. Region boundaries are a pure function of seq
-    # (one RNG walk shared by every lane); the seal floor, redo buffer,
-    # and dedicated persist path are per lane. The redo buffer always
-    # coalesces and its path has persist_path_latency=0, so its slot/
-    # admission arithmetic needs no eviction floor: an op whose drain has
-    # completed by ``time`` fails the coalescing-window check anyway, and
-    # slot admission reads the Kth-from-last accepted time, which prefix
-    # pruning does not move.
+    # (one RNG walk shared by every lane); the seal floor and the redo
+    # buffer are per lane. The redo buffer is a second write buffer over
+    # the dedicated persist path: one controller regardless of the main
+    # memory's, always coalescing, path latency 0 (CapriPolicy.attach).
     if is_capri:
         cap_rng = random.Random(0xCA9B1)
         cap_p = 1.0 / DEFAULT_MEAN_REGION
@@ -352,176 +354,18 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
                              write_bandwidth_gbs=DEFAULT_PATH_BANDWIDTH_GBS,
                              wpq_entries=redo_entries,
                              persist_path_latency=0) for c in nvms]
-        # The dedicated path is a single NvmModel regardless of the main
-        # memory's controller count.
-        path_cpl = [c.cycles_per_line / 1.0 for c in path_cfgs]
-        path_wlat = [c.write_latency for c in path_cfgs]
-        path_port = [0.0] * n
-        path_ring = [[0.0] * redo_entries for __ in range(n)]
-        path_cnt = [0] * n
-        path_smax = [0.0] * n
-        path_writes = [0] * n
-        redo_live = [dict() for __ in range(n)]
-        redo_slots = [[] for __ in range(n)]
+        path = device(path_cfgs, controllers=[1] * n)
+        redo = write_buffer(path, [redo_entries] * n, [True] * n,
+                            [c.persist_path_latency for c in path_cfgs])
+        redo_floor = redo.advance_floor
+        redo_store = redo.persist_store
 
-    # Write buffer (persist ops are [durable_at, done_at, region_tag]).
-    wb_entries = [p.writebuffer_entries for p in ppas]
-    path_lat = [c.persist_path_latency for c in nvms]
-    wb_live = [dict() for __ in range(n)]
-    wb_done_heap = [[] for __ in range(n)]
-    wb_next_done = [_INF] * n
-    wb_slots = [[] for __ in range(n)]
-    wb_floor = [0.0] * n
-    wb_region_ops = [[] for __ in range(n)]
-    wb_region_seq = [0] * n
-    wb_region_sd = [0.0] * n
-    wb_last_sd = [0.0] * n
-    wb_issued = [0] * n
-    wb_coal = [0] * n
-    wb_stall = [0.0] * n
-
-    # NVM device(s): per lane, one entry per controller.
-    nctl = [max(1, c.num_controllers) for c in nvms]
-    cpl = [c.cycles_per_line / 1.0 for c in nvms]
-    cpl_q = [c * 0.25 for c in cpl]
-    rcpl = [c.read_cycles_per_line / 1.0 for c in nvms]
-    wlat = [c.write_latency for c in nvms]
-    rlat = [c.read_latency for c in nvms]
-    wpq_n = [c.wpq_entries for c in nvms]
-    port_free = [[0.0] * k for k in nctl]
-    rport_free = [[0.0] * k for k in nctl]
-    wpq_ring = [[[0.0] * wpq_n[l] for __ in range(nctl[l])]
-                for l in range(n)]
-    wpq_cnt = [[0] * k for k in nctl]
-    # Running max of submit times per controller: the scalar WPQ deque's
-    # drains are cumulative, so an entry is gone once *any* past submit
-    # reached its completion time — not just the current one.
-    wpq_smax = [[0.0] * k for k in nctl]
-    nvm_writes = [0] * n
-    nvm_reads = [0] * n
-
-    from bisect import bisect_right, insort
-
-    # ---------------- device / policy helpers ----------------
-
-    def nvm_write(l, line, submit):
-        """NvmModel.write_line, per lane; returns (accepted, done, bp).
-
-        The scalar WPQ deque (drain completions <= submit, oldest
-        outstanding gates admission) reduces to a ring of the last
-        ``wpq_entries`` completion times: completions are appended in
-        nondecreasing order, so write ``k`` is gated by
-        ``done[k - wpq_entries]`` — but only while that entry is still
-        queued. Deque drains are cumulative and submits are not monotone
-        (write-buffer persists land late, eviction writes early), so an
-        entry popped by an earlier, *later-submitted* write never gates
-        again: the drain threshold is the running max of submit times.
-        """
-        k_ctl = (line >> 6) % nctl[l] if nctl[l] > 1 else 0
-        cnt = wpq_cnt[l][k_ctl]
-        entries_ = wpq_n[l]
-        ring = wpq_ring[l][k_ctl]
-        smax = wpq_smax[l][k_ctl]
-        if submit > smax:
-            smax = submit
-            wpq_smax[l][k_ctl] = smax
-        accepted = submit
-        if cnt >= entries_:
-            gate = ring[cnt % entries_]
-            if gate > smax:
-                accepted = gate
-        pf = port_free[l][k_ctl]
-        start = accepted if accepted >= pf else pf
-        port_free[l][k_ctl] = start + cpl[l]
-        done = start + wlat[l]
-        ring[cnt % entries_] = done
-        wpq_cnt[l][k_ctl] = cnt + 1
-        nvm_writes[l] += 1
-        return accepted, done, accepted - submit
-
-    def nvm_read(l, line, submit):
-        """NvmModel.read, per lane."""
-        k_ctl = (line >> 6) % nctl[l] if nctl[l] > 1 else 0
-        rp = rport_free[l][k_ctl]
-        start = submit if submit >= rp else rp
-        rport_free[l][k_ctl] = start + rcpl[l]
-        queue = start - submit
-        contention = port_free[l][k_ctl] - submit
-        if contention < 0.0:
-            contention = 0.0
-        q_cap = cpl_q[l]
-        if contention > q_cap:
-            contention = q_cap
-        nvm_reads[l] += 1
-        return rlat[l] + queue + contention
-
-    def advance_floor(l, time):
-        """WriteBuffer.advance_floor, per lane."""
-        if time <= wb_floor[l]:
-            return
-        wb_floor[l] = time
-        if time < wb_next_done[l]:
-            return
-        heap = wb_done_heap[l]
-        live_map = wb_live[l]
-        while heap and heap[0][0] <= time:
-            __, line_a = heappop(heap)
-            op = live_map.get(line_a)
-            if op is not None and op[1] <= time:
-                del live_map[line_a]
-        wb_next_done[l] = heap[0][0] if heap else _INF
-
-    def persist_store(l, line, time):
-        """WriteBuffer.persist_store, per lane (functional payload writes
-        are not tracked: cohorts never capture the persist log)."""
-        op = wb_live[l].get(line) if coalescing[l] else None
-        if op is not None and op[1] > time:
-            wb_coal[l] += 1
-        else:
-            free = wb_slots[l]
-            drained = bisect_right(free, wb_floor[l])
-            if drained:
-                del free[:drained]
-            if len(free) - bisect_right(free, time) >= wb_entries[l]:
-                admit = free[len(free) - wb_entries[l]]
-            else:
-                admit = time
-            wb_stall[l] += admit - time
-            accepted, done, __ = nvm_write(l, line, admit + path_lat[l])
-            op = [accepted, done, wb_region_seq[l]]
-            insort(free, accepted)
-            if coalescing[l]:
-                wb_live[l][line] = op
-                heappush(wb_done_heap[l], (done, line))
-                if done < wb_next_done[l]:
-                    wb_next_done[l] = done
-            wb_region_ops[l].append(op)
-            wb_issued[l] += 1
-        mp = time + path_lat[l]
-        durable = op[0] if op[0] >= mp else mp
-        wb_last_sd[l] = durable
-        if durable > wb_region_sd[l]:
-            wb_region_sd[l] = durable
-        if op[2] != wb_region_seq[l]:
-            op[2] = wb_region_seq[l]
-            wb_region_ops[l].append(op)
-
-    def region_drain_time(l, boundary):
-        """WriteBuffer.region_drain_time, per lane."""
-        drained = boundary if boundary >= wb_region_sd[l] else wb_region_sd[l]
-        for op in wb_region_ops[l]:
-            if op[0] > drained:
-                drained = op[0]
-        return drained
+    # ---------------- policy helpers ----------------
 
     def close_region(l, end_seq, boundary, cause):
         """PpaPolicy._close_region, per lane; returns the drain cycle."""
         drain = region_drain_time(l, boundary)
-        # wb.reset_region(drain)
-        wb_region_ops[l] = []
-        wb_region_seq[l] += 1
-        wb_region_sd[l] = 0.0
-        advance_floor(l, drain)
+        reset_region(l, drain)
         # rf.end_region(drain) for int then fp
         for cls in (0, 1):
             heap = sched_pair[cls][l]
@@ -714,58 +558,18 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
 
                 if opcode == OP_LOAD:
                     issue = ready + lat_agen[l]
-                    mode = mem_entry[0]
-                    if mode == MODE_CONST and not mem_entry[4]:
+                    if mem_entry[0] == MODE_CONST and not mem_entry[4]:
                         complete = issue + mem_entry[1]
                     else:
-                        # Inline replay of the load recipe.
-                        base = mem_entry[1]
-                        fills = mem_entry[4]
-                        if mode == MODE_CONST:
-                            lat = base
-                        else:
-                            x = issue + base
-                            if mode == MODE_APP_DIRECT:
-                                lat = base + nvm_read(l, line, x)
-                            else:
-                                probe = mem_entry[2]
-                                pr = probe + nvm_read(l, line, x + probe)
-                                if mem_entry[3] is not None:
-                                    nvm_write(l, mem_entry[3], x + pr)
-                                lat = base + pr
-                        if fills:
-                            back = 0.0
-                            for fill_line in fills:
-                                back += nvm_write(l, fill_line, issue)[2]
-                            lat += back
-                        complete = issue + lat
+                        complete = issue + replay(l, mem_entry, issue, line)
                 elif opcode == OP_STORE:
                     complete = ready + lat_agen[l]
                     rfo_entry = mem_entry[0]
                     if rfo_entry is None:
                         rfo_done = complete
                     else:
-                        mode = rfo_entry[0]
-                        base = rfo_entry[1]
-                        fills = rfo_entry[4]
-                        if mode == MODE_CONST:
-                            lat = base
-                        else:
-                            x = complete + base
-                            if mode == MODE_APP_DIRECT:
-                                lat = base + nvm_read(l, line, x)
-                            else:
-                                probe = rfo_entry[2]
-                                pr = probe + nvm_read(l, line, x + probe)
-                                if rfo_entry[3] is not None:
-                                    nvm_write(l, rfo_entry[3], x + pr)
-                                lat = base + pr
-                        if fills:
-                            back = 0.0
-                            for fill_line in fills:
-                                back += nvm_write(l, fill_line, complete)[2]
-                            lat += back
-                        rfo_done = complete + lat
+                        rfo_done = complete + replay(l, rfo_entry, complete,
+                                                     line)
                 elif opcode == OP_SYNC:
                     complete = ready + SYNC_LAT
                 else:
@@ -803,42 +607,10 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
                         # CapriPolicy.store_commit_time: the store commits
                         # into the redo buffer; a backed-up drain to NVM
                         # backpressures the commit until an entry frees.
-                        op = redo_live[l].get(line)
-                        if op is not None and op[1] > tentative:
-                            if op[0] > tentative:
-                                tentative = op[0]
-                        else:
-                            free = redo_slots[l]
-                            if (len(free) - bisect_right(free, tentative)
-                                    >= redo_entries):
-                                admit = free[len(free) - redo_entries]
-                            else:
-                                admit = tentative
-                            # Dedicated-path NvmModel.write_line (same
-                            # ring + running-max WPQ reduction as the
-                            # main device, path latency 0).
-                            cnt = path_cnt[l]
-                            ring = path_ring[l]
-                            smax = path_smax[l]
-                            if admit > smax:
-                                smax = admit
-                                path_smax[l] = smax
-                            accepted = admit
-                            if cnt >= redo_entries:
-                                gate = ring[cnt % redo_entries]
-                                if gate > smax:
-                                    accepted = gate
-                            pf = path_port[l]
-                            start = accepted if accepted >= pf else pf
-                            path_port[l] = start + path_cpl[l]
-                            done = start + path_wlat[l]
-                            ring[cnt % redo_entries] = done
-                            path_cnt[l] = cnt + 1
-                            path_writes[l] += 1
-                            insort(free, accepted)
-                            redo_live[l][line] = [accepted, done]
-                            if accepted > tentative:
-                                tentative = accepted
+                        redo_floor(l, tentative)
+                        durable = redo_store(l, line, tentative)
+                        if durable > tentative:
+                            tentative = durable
                 if is_ppa:
                     if opcode == OP_STORE:
                         # PpaPolicy.store_commit_time
@@ -894,28 +666,8 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
                     if merge_entry is None:
                         merge_time = merge_from + l1_hit
                     else:
-                        mode = merge_entry[0]
-                        base = merge_entry[1]
-                        fills = merge_entry[4]
-                        if mode == MODE_CONST:
-                            lat = base
-                        else:
-                            x = merge_from + base
-                            if mode == MODE_APP_DIRECT:
-                                lat = base + nvm_read(l, line, x)
-                            else:
-                                probe = merge_entry[2]
-                                pr = probe + nvm_read(l, line, x + probe)
-                                if merge_entry[3] is not None:
-                                    nvm_write(l, merge_entry[3], x + pr)
-                                lat = base + pr
-                        if fills:
-                            back = 0.0
-                            for fill_line in fills:
-                                back += nvm_write(l, fill_line,
-                                                  merge_from)[2]
-                            lat += back
-                        merge_time = merge_from + lat
+                        merge_time = merge_from + replay(l, merge_entry,
+                                                         merge_from, line)
                     sq_rel[l][sq_cnt[l] % sq_sz[l]] = merge_time
                     sq_cnt[l] += 1
                     if tv:
@@ -935,8 +687,8 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
                         csq_cnt[l] += 1
                         region_stores[l] += 1
                         advance_floor(l, commit)
-                        persist_store(l, line, merge_time)
-                        record.durable_at = wb_last_sd[l]
+                        record.durable_at = persist_store(l, line,
+                                                          merge_time)
                     elif is_capri:
                         # CapriPolicy.store_committed: durable on redo-
                         # buffer entry (battery-backed).
@@ -984,14 +736,14 @@ def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
         stats.free_reg_hist_int = Counter(hist_int[l])
         stats.free_reg_hist_fp = Counter(hist_fp[l])
         stats.commit_times = commit_times[l]
-        stats.nvm_line_writes = nvm_writes[l]
-        stats.nvm_reads = nvm_reads[l]
-        stats.persist_ops = wb_issued[l]
-        stats.persist_coalesced = wb_coal[l]
-        stats.wb_full_stall_cycles = wb_stall[l]
+        stats.nvm_line_writes = nvm.writes[l]
+        stats.nvm_reads = nvm.reads[l]
+        stats.persist_ops = wb.issued[l]
+        stats.persist_coalesced = wb.coalesced[l]
+        stats.wb_full_stall_cycles = wb.stall[l]
         stats.load_level_counts = Counter(script.level_counts)
         if is_capri:
-            stats.extra["capri_path_writes"] = path_writes[l]
+            stats.extra["capri_path_writes"] = path.writes[l]
         stats.extra["l2_miss_rate"] = script.l2_miss_rate
         stats.extra["eviction_writebacks"] = script.eviction_writebacks
         results[l] = LaneResult(stats)

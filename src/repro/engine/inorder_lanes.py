@@ -20,20 +20,20 @@ Two cohort-invariant computations are hoisted out of the lane loop:
 The in-order facade always runs cold (no warmup), and both supported
 schemes (:data:`repro.engine.batched.INORDER_KERNEL_SCHEMES`) share the
 walk: ``"ppa"`` drives the value CSQ + write buffer, ``"baseline"``
-replays only the cache/NVM side effects of store merges.
+replays only the cache/NVM side effects of store merges. The write
+buffer, NVM device and memory-script replay are the shared per-lane
+persist path (:mod:`repro.engine.lanepath`).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right, insort
-from heapq import heappop, heappush
 
 from repro.engine.batched import (
     LaneResult,
     _latency_list,
     finish_diverged,
 )
-from repro.engine.memscript import MODE_APP_DIRECT, MODE_CONST, memory_script
+from repro.engine.lanepath import device, replayer, write_buffer
+from repro.engine.memscript import MODE_CONST, memory_script
 from repro.inorder.core import InOrderStats
 from repro.inorder.value_csq import ValueCsqEntry
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
@@ -41,7 +41,6 @@ from repro.pipeline.core import _SYNC_LATENCY
 from repro.pipeline.stats import RegionRecord
 from repro.workloads.interning import interned_trace
 
-_INF = float("inf")
 _VALUE_MASK = (1 << 64) - 1
 
 
@@ -141,142 +140,24 @@ def run_inorder_cohort(points, *, diverge_at=None) -> list[LaneResult]:
 
     csq_cnt = [0] * n
     csq_entries = [p.csq_entries for p in ppas]
-    coalescing = [p.persist_coalescing for p in ppas]
     region_id = [0] * n
     region_start = [0] * n
     region_stores = [0] * n
 
-    # Write buffer (persist ops are [durable_at, done_at, region_tag]).
-    wb_entries = [p.writebuffer_entries for p in ppas]
-    path_lat = [c.persist_path_latency for c in nvms]
-    wb_live = [dict() for __ in range(n)]
-    wb_done_heap = [[] for __ in range(n)]
-    wb_next_done = [_INF] * n
-    wb_slots = [[] for __ in range(n)]
-    wb_floor = [0.0] * n
-    wb_region_ops = [[] for __ in range(n)]
-    wb_region_seq = [0] * n
-    wb_region_sd = [0.0] * n
-    wb_issued = [0] * n
-    wb_coal = [0] * n
-    wb_stall = [0.0] * n
-
-    # NVM device(s): per lane, one entry per controller.
-    nctl = [max(1, c.num_controllers) for c in nvms]
-    cpl = [c.cycles_per_line / 1.0 for c in nvms]
-    cpl_q = [c * 0.25 for c in cpl]
-    rcpl = [c.read_cycles_per_line / 1.0 for c in nvms]
-    wlat = [c.write_latency for c in nvms]
-    rlat = [c.read_latency for c in nvms]
-    wpq_n = [c.wpq_entries for c in nvms]
-    port_free = [[0.0] * k for k in nctl]
-    rport_free = [[0.0] * k for k in nctl]
-    wpq_ring = [[[0.0] * wpq_n[l] for __ in range(nctl[l])]
-                for l in range(n)]
-    wpq_cnt = [[0] * k for k in nctl]
-    wpq_smax = [[0.0] * k for k in nctl]
-    nvm_writes = [0] * n
-    nvm_reads = [0] * n
-
-    # ------------- device / policy helpers (as in batched.py) -------------
-
-    def nvm_write(l, line, submit):
-        k_ctl = (line >> 6) % nctl[l] if nctl[l] > 1 else 0
-        cnt = wpq_cnt[l][k_ctl]
-        entries_ = wpq_n[l]
-        ring = wpq_ring[l][k_ctl]
-        smax = wpq_smax[l][k_ctl]
-        if submit > smax:
-            smax = submit
-            wpq_smax[l][k_ctl] = smax
-        accepted = submit
-        if cnt >= entries_:
-            gate = ring[cnt % entries_]
-            if gate > smax:
-                accepted = gate
-        pf = port_free[l][k_ctl]
-        start = accepted if accepted >= pf else pf
-        port_free[l][k_ctl] = start + cpl[l]
-        done = start + wlat[l]
-        ring[cnt % entries_] = done
-        wpq_cnt[l][k_ctl] = cnt + 1
-        nvm_writes[l] += 1
-        return accepted, done, accepted - submit
-
-    def nvm_read(l, line, submit):
-        k_ctl = (line >> 6) % nctl[l] if nctl[l] > 1 else 0
-        rp = rport_free[l][k_ctl]
-        start = submit if submit >= rp else rp
-        rport_free[l][k_ctl] = start + rcpl[l]
-        queue = start - submit
-        contention = port_free[l][k_ctl] - submit
-        if contention < 0.0:
-            contention = 0.0
-        q_cap = cpl_q[l]
-        if contention > q_cap:
-            contention = q_cap
-        nvm_reads[l] += 1
-        return rlat[l] + queue + contention
-
-    def advance_floor(l, time):
-        if time <= wb_floor[l]:
-            return
-        wb_floor[l] = time
-        if time < wb_next_done[l]:
-            return
-        heap = wb_done_heap[l]
-        live_map = wb_live[l]
-        while heap and heap[0][0] <= time:
-            __, line_a = heappop(heap)
-            op = live_map.get(line_a)
-            if op is not None and op[1] <= time:
-                del live_map[line_a]
-        wb_next_done[l] = heap[0][0] if heap else _INF
-
-    def persist_store(l, line, time):
-        op = wb_live[l].get(line) if coalescing[l] else None
-        if op is not None and op[1] > time:
-            wb_coal[l] += 1
-        else:
-            free = wb_slots[l]
-            drained = bisect_right(free, wb_floor[l])
-            if drained:
-                del free[:drained]
-            if len(free) - bisect_right(free, time) >= wb_entries[l]:
-                admit = free[len(free) - wb_entries[l]]
-            else:
-                admit = time
-            wb_stall[l] += admit - time
-            accepted, done, __ = nvm_write(l, line, admit + path_lat[l])
-            op = [accepted, done, wb_region_seq[l]]
-            insort(free, accepted)
-            if coalescing[l]:
-                wb_live[l][line] = op
-                heappush(wb_done_heap[l], (done, line))
-                if done < wb_next_done[l]:
-                    wb_next_done[l] = done
-            wb_region_ops[l].append(op)
-            wb_issued[l] += 1
-        mp = time + path_lat[l]
-        durable = op[0] if op[0] >= mp else mp
-        if durable > wb_region_sd[l]:
-            wb_region_sd[l] = durable
-        if op[2] != wb_region_seq[l]:
-            op[2] = wb_region_seq[l]
-            wb_region_ops[l].append(op)
+    nvm = device(nvms)
+    replay = replayer(nvm)
+    wb = write_buffer(nvm, [p.writebuffer_entries for p in ppas],
+                      [p.persist_coalescing for p in ppas],
+                      [c.persist_path_latency for c in nvms])
+    advance_floor = wb.advance_floor
+    persist_store = wb.persist_store
+    region_drain_time = wb.region_drain_time
+    reset_region = wb.reset_region
 
     def close_region(l, end_seq, boundary, cause):
         """InOrderCore._close_region, per lane; returns the drain cycle."""
-        drained = boundary if boundary >= wb_region_sd[l] \
-            else wb_region_sd[l]
-        for op in wb_region_ops[l]:
-            if op[0] > drained:
-                drained = op[0]
-        # wb.reset_region(drained)
-        wb_region_ops[l] = []
-        wb_region_seq[l] += 1
-        wb_region_sd[l] = 0.0
-        advance_floor(l, drained)
+        drained = region_drain_time(l, boundary)
+        reset_region(l, drained)
         csq_cnt[l] = 0
         regions[l].append(RegionRecord(
             region_id=region_id[l], start_seq=region_start[l],
@@ -287,28 +168,6 @@ def run_inorder_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         region_start[l] = end_seq
         region_stores[l] = 0
         return drained
-
-    def replay(l, entry, base, line):
-        """One memory-script entry at lane time ``base`` -> latency."""
-        mode = entry[0]
-        lat = entry[1]
-        if mode != MODE_CONST:
-            x = base + entry[1]
-            if mode == MODE_APP_DIRECT:
-                lat = entry[1] + nvm_read(l, line, x)
-            else:
-                probe = entry[2]
-                pr = probe + nvm_read(l, line, x + probe)
-                if entry[3] is not None:
-                    nvm_write(l, entry[3], x + pr)
-                lat = entry[1] + pr
-        fills = entry[4]
-        if fills:
-            back = 0.0
-            for fill_line in fills:
-                back += nvm_write(l, fill_line, base)[2]
-            lat += back
-        return lat
 
     # ---------------- lockstep walk ----------------
     live = list(range(n))
@@ -442,8 +301,8 @@ def run_inorder_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         stats.regions = regions[l]
         stats.entries = csq_log[l]
         stats.commit_times = commit_times[l]
-        stats.nvm_line_writes = nvm_writes[l]
-        stats.wb_full_stall_cycles = wb_stall[l]
+        stats.nvm_line_writes = nvm.writes[l]
+        stats.wb_full_stall_cycles = wb.stall[l]
         results[l] = LaneResult(stats)
 
     return finish_diverged(points, results, diverged)

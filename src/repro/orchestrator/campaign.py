@@ -293,10 +293,10 @@ class Campaign:
         ``(point indices, run_batched)`` — a lockstep cohort or a scalar
         singleton. A width-1 cohort (only possible under
         ``engine="batched"``) is demoted to a singleton: per-point
-        execution resolves the engine itself (workers inherit it via
-        :func:`worker_init`), so the point still runs the batched kernel,
-        while keeping the per-point path — with its timeout/retry
-        accounting and test seams — the only way single points execute."""
+        execution receives the campaign's engine, so the point still runs
+        the batched kernel, while keeping the per-point path — with its
+        timeout/retry accounting and test seams — the only way single
+        points execute."""
         if self.engine == "scalar" or self.sanitize or \
                 self.trace_dir is not None:
             reason = ("engine=scalar" if self.engine == "scalar"
@@ -398,18 +398,6 @@ class Campaign:
 
     def _run_serial(self, jobs: list[tuple[tuple[int, ...], bool]],
                     results: list[PointResult | None]) -> None:
-        from repro.engine import engine_env
-
-        # Singleton jobs resolve the engine per point (so a width-1
-        # "cohort" under engine="batched" still runs the batched kernel);
-        # in-process that resolution reads the environment, which this
-        # scope pins to the campaign's engine — the serial counterpart of
-        # worker_init's pinning in pool workers.
-        with engine_env(self.engine):
-            self._drain_serial(jobs, results)
-
-    def _drain_serial(self, jobs: list[tuple[tuple[int, ...], bool]],
-                      results: list[PointResult | None]) -> None:
         pending = deque(jobs)
         while pending:
             job, batched = pending.popleft()
@@ -438,7 +426,8 @@ class Campaign:
                 attempts += 1
                 try:
                     payload = run_point_payload(point, self.sanitize,
-                                              self.trace_dir)
+                                                self.trace_dir,
+                                                engine=self.engine)
                 except Exception as exc:  # noqa: BLE001 — retried below
                     if attempts <= self.retries:
                         self.telemetry.retries += 1
@@ -469,7 +458,7 @@ class Campaign:
     def _make_pool(self, misses: list[int]) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.jobs, initializer=worker_init,
-            initargs=(self._preload_specs(misses), self.engine))
+            initargs=(self._preload_specs(misses),))
 
     def _run_pool(self, misses: list[int],
                   jobs: list[tuple[tuple[int, ...], bool]],
@@ -506,7 +495,8 @@ class Campaign:
                     else:
                         future = pool.submit(
                             run_point_payload, self.points[indices[0]],
-                            self.sanitize, self.trace_dir)
+                            self.sanitize, self.trace_dir,
+                            engine=self.engine)
                     inflight[future] = job
                     if self.timeout is not None:
                         deadlines[job] = (time.monotonic()

@@ -37,24 +37,16 @@ from repro.orchestrator.serialize import payload_from_run
 _WORKER_STATE = {"imports": 0, "preloaded": 0}
 
 
-def worker_init(preload_specs: tuple = (), engine: str | None = None) -> None:
+def worker_init(preload_specs: tuple = ()) -> None:
     """Process-pool initializer: one ``repro`` import per worker, plus
     up-front interning of the traces shared by the submitted points.
 
     Merely unpickling this function reference already imported the heavy
     ``repro`` modules (this module pulls in the core, memory, and policy
     stacks), so per-point submissions start hot.
-
-    ``engine`` pins the worker's default engine (``REPRO_ENGINE``), so a
-    campaign's explicit ``engine=`` choice governs per-point execution in
-    workers too — not just the parent's cohort planning.
     """
     from repro.workloads.interning import preload
 
-    if engine is not None:
-        from repro.engine import ENGINE_ENV_VAR
-
-        os.environ[ENGINE_ENV_VAR] = engine
     _WORKER_STATE["imports"] += 1
     _WORKER_STATE["preloaded"] += preload(preload_specs)
 
@@ -146,8 +138,8 @@ def point_trace_filename(point: SimPoint) -> str:
 
 def run_point_payload(point: SimPoint, sanitize: bool = False,
                       trace_dir: str | None = None,
-                      trace_ctx: dict[str, Any] | None = None) \
-        -> dict[str, Any]:
+                      trace_ctx: dict[str, Any] | None = None,
+                      engine: str | None = None) -> dict[str, Any]:
     """Pool-worker entry: simulate and return a JSON payload.
 
     Returning the serialized form (rather than the live objects) keeps the
@@ -162,9 +154,11 @@ def run_point_payload(point: SimPoint, sanitize: bool = False,
     the timeline is most wanted. ``trace_ctx`` (e.g. ``{"trace_id":
     "c0001", "span_id": "c0001/3"}``) is stamped into the trace as a
     ``trace-context`` instant so :mod:`repro.observe.stitch` can merge
-    this worker's timeline with the submitting scheduler's spans."""
+    this worker's timeline with the submitting scheduler's spans.
+    ``engine`` follows :func:`simulate_point` (None resolves
+    ``REPRO_ENGINE``); executors pass their own engine here."""
     if trace_dir is None:
-        return _run_point_payload(point, sanitize)
+        return _run_point_payload(point, sanitize, engine)
     import pathlib
 
     from repro.telemetry import Tracer, tracing
@@ -177,12 +171,13 @@ def run_point_payload(point: SimPoint, sanitize: bool = False,
     trace_path = pathlib.Path(trace_dir) / point_trace_filename(point)
     try:
         with tracing(tracer):
-            return _run_point_payload(point, sanitize)
+            return _run_point_payload(point, sanitize, engine)
     finally:
         write_chrome_trace(tracer, trace_path)
 
 
-def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
+def _run_point_payload(point: SimPoint, sanitize: bool,
+                       engine: str | None) -> dict[str, Any]:
     if sanitize:
         from repro.sanitizer import sanitized
 
@@ -191,12 +186,12 @@ def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
         # were installed at import and simply stay.
         with sanitized():
             start = time.perf_counter()
-            stats, log, engine = _simulate_engine(point, None)
+            stats, log, used = _simulate_engine(point, engine)
     else:
         start = time.perf_counter()
-        stats, log, engine = _simulate_engine(point, None)
+        stats, log, used = _simulate_engine(point, engine)
     elapsed = time.perf_counter() - start
-    payload = payload_from_run(stats, log, elapsed, engine=engine)
+    payload = payload_from_run(stats, log, elapsed, engine=used)
     # Worker accounting rides along and is stripped before the payload is
     # cached (pids are not deterministic; cached payloads must be). Only
     # initialized pool workers report — a serial in-process run is not a
@@ -209,7 +204,7 @@ def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
         from repro.observe.profiler import maybe_profile_slow_point
 
         maybe_profile_slow_point(point, elapsed,
-                                 lambda: _simulate_engine(point, None))
+                                 lambda: _simulate_engine(point, engine))
     return payload
 
 

@@ -273,8 +273,7 @@ class FleetScheduler:
         context.set_forkserver_preload(["repro.orchestrator.execute"])
         return ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=context,
-                                   initializer=worker_init,
-                                   initargs=((), self.engine))
+                                   initializer=worker_init)
 
     async def _heartbeat_loop(self) -> None:
         """Periodic liveness beat on every unfinished campaign's event
@@ -407,10 +406,9 @@ class FleetScheduler:
         plan = plan_points(points, self.engine)
         self._count_scalar_reasons(plan.summary()["scalar_reasons"])
         # Width-1 cohorts (engine="batched" only) are demoted to point
-        # tasks: the worker resolves the engine per point (pinned by
-        # worker_init), so the point still runs the batched kernel while
-        # keeping the singleton retry/dedup machinery the only per-point
-        # path.
+        # tasks: the worker receives the scheduler's engine with the point,
+        # so the point still runs the batched kernel while keeping the
+        # singleton retry/dedup machinery the only per-point path.
         tasks: list[PointTask | CohortTask] = [
             CohortTask(job=job, indices=list(cohort.indices),
                        points=list(cohort.points),
@@ -687,7 +685,8 @@ class FleetScheduler:
                 payload = await asyncio.wait_for(
                     loop.run_in_executor(self._pool, run_point_payload,
                                          task.point, self.sanitize,
-                                         self.trace_dir, trace_ctx),
+                                         self.trace_dir, trace_ctx,
+                                         self.engine),
                     timeout=self.timeout)
             except asyncio.TimeoutError:
                 self.metrics.counter("service.timeouts").inc()

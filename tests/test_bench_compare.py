@@ -5,7 +5,11 @@ import json
 
 import pytest
 
-from repro.bench.compare import DEFAULT_THRESHOLD, compare_reports
+from repro.bench.compare import (
+    DEFAULT_THRESHOLD,
+    best_artifact,
+    compare_reports,
+)
 from repro.bench.fingerprint import EnvFingerprint
 from repro.bench.harness import BenchReport, BenchResult
 
@@ -26,8 +30,9 @@ def _result(name: str, wall: float, cycles: float = 1000.0,
                        deterministic=deterministic)
 
 
-def _report(results: list[BenchResult]) -> BenchReport:
-    return BenchReport(suite="quick", repetitions=2, warmup=1,
+def _report(results: list[BenchResult],
+            suite: str = "quick") -> BenchReport:
+    return BenchReport(suite=suite, repetitions=2, warmup=1,
                        fingerprint=_fingerprint(), results=results,
                        created="2026-08-05T00:00:00Z")
 
@@ -94,6 +99,15 @@ class TestCompare:
         assert report.only_in_new == ["added"]
         assert report.ok  # membership changes inform, they don't gate
 
+    def test_no_overlap_fails(self):
+        """A comparison that matched no benchmark proves nothing."""
+        base = _report([_result("a", 1.0)])
+        new = _report([_result("b", 1.0)])
+        report = compare_reports(base, new)
+        assert not report.deltas
+        assert not report.ok
+        assert "nothing compared" in report.to_text()
+
     def test_to_dict_round_trips_through_json(self):
         base = _report([_result("a", 1.0)])
         new = _report([_result("a", 3.0)])
@@ -141,3 +155,47 @@ class TestGateCli:
         assert data["ok"] is False
         assert [d["name"] for d in data["deltas"]
                 if d["regressed"]] == ["b"]
+
+
+class TestSameSuiteBase:
+    """A directory base resolves to the best artifact of the new
+    artifact's own suite, never a faster artifact of another suite."""
+
+    @pytest.fixture
+    def committed(self, tmp_path):
+        directory = tmp_path / "committed"
+        directory.mkdir()
+        self._write(directory, "BENCH_1_wide.json", "wide", 0.01)
+        return directory
+
+    def _write(self, directory, name, suite, wall):
+        path = directory / name
+        _report([_result(f"{suite}:x", wall)], suite=suite).write(path)
+        return path
+
+    def test_best_artifact_picks_the_new_reports_suite(self, committed):
+        self._write(committed, "BENCH_2_quick.json", "quick", 2.0)
+        fast = self._write(committed, "BENCH_3_quick.json", "quick", 1.0)
+        assert best_artifact(committed, "quick") == fast
+        assert best_artifact(committed, "batched") is None
+
+    def test_gate_compares_like_with_like(self, committed, tmp_path,
+                                          capsys):
+        from repro.bench.__main__ import main
+
+        self._write(committed, "BENCH_2_quick.json", "quick", 1.0)
+        new = self._write(tmp_path, "new.json", "quick", 1.0)
+        assert main(["gate", str(committed), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_2_quick.json" in out
+        assert "only in new artifact" not in out
+
+    def test_gate_fails_without_a_same_suite_artifact(self, committed,
+                                                      tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        new = self._write(tmp_path, "new.json", "batched", 1.0)
+        assert main(["gate", str(committed), str(new)]) == 1
+        out = capsys.readouterr().out
+        assert "no committed 'batched'-suite artifact" in out
+        assert "FAIL" in out

@@ -12,6 +12,7 @@ mid-flight.
 """
 
 import os
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +23,6 @@ from repro.engine import (
     ENGINE_ENV_VAR,
     ENGINES,
     default_engine,
-    engine_env,
     resolve_engine,
 )
 from repro.engine.batched import KERNEL_SCHEMES, run_cohort
@@ -66,18 +66,6 @@ class TestEngineResolution:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             resolve_engine("vectorized")
-
-    def test_engine_env_pins_and_restores(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-        with engine_env("batched"):
-            assert os.environ[ENGINE_ENV_VAR] == "batched"
-        assert os.environ[ENGINE_ENV_VAR] == "scalar"
-
-    def test_engine_env_restores_unset(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        with engine_env("batched"):
-            assert os.environ[ENGINE_ENV_VAR] == "batched"
-        assert ENGINE_ENV_VAR not in os.environ
 
 
 class TestPlanner:
@@ -198,6 +186,59 @@ class TestDivergence:
                 assert lane.engine == "scalar"
                 assert lane.diverged_at == diverge_at[i]
 
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_persist_path_knobs_bit_exact(self, data):
+        """Every lane draws its own persist path — write-buffer slots,
+        coalescing, async writeback, path latency, controllers, write
+        bandwidth, CSQ size — on every lane kernel (list kernel for each
+        out-of-order kernel scheme, in-order kernel for ppa/baseline),
+        with forced divergence: lanes match scalar stat dicts exactly."""
+        core, scheme = data.draw(st.sampled_from(
+            [("ooo", s) for s in sorted(KERNEL_SCHEMES)]
+            + [("inorder", "ppa"), ("inorder", "baseline")]),
+            label="kernel")
+        profile = data.draw(st.sampled_from(["rb", "gcc"]),
+                            label="profile")
+        n = data.draw(st.integers(2, 4), label="lanes")
+        # The in-order model always starts cold.
+        warm = core == "ooo" and data.draw(st.booleans(), label="warm")
+        points = []
+        for lane in range(n):
+            ppa = replace(
+                BASE.ppa,
+                writebuffer_entries=data.draw(
+                    st.sampled_from([1, 2, 4, 16]), label=f"wb{lane}"),
+                persist_coalescing=data.draw(st.booleans(),
+                                             label=f"coal{lane}"),
+                async_writeback=data.draw(st.booleans(),
+                                          label=f"async{lane}"),
+                csq_entries=data.draw(st.sampled_from([4, 16, 40]),
+                                      label=f"csq{lane}"))
+            nvm = replace(
+                BASE.memory.nvm,
+                persist_path_latency=data.draw(
+                    st.sampled_from([0, 10, 40]), label=f"path{lane}"),
+                num_controllers=data.draw(st.sampled_from([1, 2]),
+                                          label=f"mc{lane}"),
+                write_bandwidth_gbs=data.draw(
+                    st.sampled_from([0.5, 2.3, 8.0]), label=f"bw{lane}"))
+            config = replace(BASE, ppa=ppa,
+                             memory=replace(BASE.memory, nvm=nvm))
+            points.append(_pt(profile, scheme, config, length=2_000,
+                              core=core, warmup=1_000 if warm else 0))
+        diverge_at = {
+            lane: data.draw(st.integers(1, 1_999), label=f"d{lane}")
+            for lane in range(n)
+            if data.draw(st.booleans(), label=f"div{lane}")}
+        lanes = run_cohort(points, diverge_at=diverge_at, vector=False)
+        for i, (lane, point) in enumerate(zip(lanes, points)):
+            assert lane.error is None
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.stats.to_dict() == want.to_dict(), f"lane {i}"
+            assert lane.diverged_at == diverge_at.get(i)
+
 
 class TestCampaignEngine:
     def _run(self, engine, points):
@@ -227,6 +268,28 @@ class TestCampaignEngine:
         assert campaign.telemetry.cohorts == 0
         assert results[0].engine == "batched"
         assert results[0].stats is not None
+
+    def test_serial_campaign_passes_engine_without_env(self, monkeypatch):
+        # The campaign hands its engine to each point as an argument:
+        # with REPRO_ENGINE saying "scalar", a width-1 point still runs
+        # batched, and the environment is never written.
+        from repro.orchestrator import execute
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
+        before = dict(os.environ)
+        seen = []
+        real = execute._simulate_engine
+
+        def spy(point, engine):
+            seen.append(os.environ.get(ENGINE_ENV_VAR))
+            return real(point, engine)
+
+        monkeypatch.setattr(execute, "_simulate_engine", spy)
+        campaign, results = self._run("batched", [_pt("rb", "ppa")])
+        assert campaign.telemetry.cohorts == 0
+        assert results[0].engine == "batched"
+        assert seen == ["scalar"]
+        assert dict(os.environ) == before
 
 
 class TestCacheEngineKeying:
@@ -413,6 +476,25 @@ class TestVectorKernel:
         )
 
         assert MIN_AUTO_COHORT <= VECTOR_MIN_LANES < VECTOR_MIN_LANES_PPA
+
+    def test_auto_vector_failure_propagates(self, monkeypatch):
+        # No silent fallback: a columnar-kernel failure on the automatic
+        # path surfaces exactly as it does when vector=True is forced.
+        from repro.engine import VECTOR_ENV_VAR, columns
+        from repro.engine.batched import VECTOR_MIN_LANES
+
+        if not columns.available():
+            pytest.skip("numpy columnar kernel unavailable")
+
+        def boom(points, **kwargs):
+            raise RuntimeError("columnar kernel exploded")
+
+        monkeypatch.delenv(VECTOR_ENV_VAR, raising=False)
+        monkeypatch.setattr(columns, "run_cohort_vector", boom)
+        points = [_pt("rb", "baseline", BASE.with_prf(80 + 4 * i, 80),
+                      length=300) for i in range(VECTOR_MIN_LANES)]
+        with pytest.raises(RuntimeError, match="columnar kernel exploded"):
+            run_cohort(points)
 
     def test_capri_outside_vector_schemes(self):
         from repro.engine.columns import VECTOR_SCHEMES

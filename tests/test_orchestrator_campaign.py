@@ -181,7 +181,8 @@ class TestParallelCampaign:
         assert warm.telemetry.cache_hits == len(POINTS)
 
 
-def _sleepy_run_point(point, sanitize=False, trace_dir=None):
+def _sleepy_run_point(point, sanitize=False, trace_dir=None, trace_ctx=None,
+                      engine=None):
     """Stand-in worker: sleeps for the duration encoded in the point's
     label, then delegates to the real worker. Module-level so the pool
     can unpickle it by name in forked workers."""
@@ -190,7 +191,7 @@ def _sleepy_run_point(point, sanitize=False, trace_dir=None):
     from repro.orchestrator.execute import run_point_payload
 
     _time.sleep(float(point.label.rsplit("=", 1)[1]))
-    return run_point_payload(point, sanitize, trace_dir)
+    return run_point_payload(point, sanitize, trace_dir, trace_ctx, engine)
 
 
 def _timed_point(app: str, seconds: float, seed: int = 0):
