@@ -239,6 +239,19 @@ class TestDivergence:
             assert lane.stats.to_dict() == want.to_dict(), f"lane {i}"
             assert lane.diverged_at == diverge_at.get(i)
 
+    def test_capri_redo_path_is_one_controller(self):
+        # Capri's dedicated persist path is one device whatever the main
+        # memory's controller count; routing it per main controller
+        # changes capri_path_writes on this trace.
+        nvm = replace(BASE.memory.nvm, num_controllers=2)
+        config = replace(BASE, memory=replace(BASE.memory, nvm=nvm))
+        points = [_pt("gcc", "capri", config, length=3_000),
+                  _pt("gcc", "capri", config.with_wpq(8), length=3_000)]
+        for lane, point in zip(run_cohort(points), points):
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.engine == "batched"
+            assert lane.stats.to_dict() == want.to_dict()
+
 
 class TestCampaignEngine:
     def _run(self, engine, points):
